@@ -194,6 +194,10 @@ class RewritePlanner:
         self._substitutions: "OrderedDict[tuple[QueryBlock, int], list[Rewriting]]" = (
             OrderedDict()
         )
+        #: Bumped whenever any memo family gains an entry, so holders of
+        #: an earlier export (the serving daemon's memo tier) can tell
+        #: whether a new one would carry anything they lack.
+        self.memo_version = 0
 
     SUBSTITUTION_CACHE_MAX = 8192
 
@@ -235,6 +239,7 @@ class RewritePlanner:
         self._substitutions[key] = options
         if len(self._substitutions) > self.SUBSTITUTION_CACHE_MAX:
             self._substitutions.popitem(last=False)
+        self.memo_version += 1
         return options
 
     # ------------------------------------------------------------------
@@ -310,6 +315,20 @@ class RewritePlanner:
             memo = OrderedDict()
             memos[family] = memo
         return memo
+
+    def remember(self, family: str, key, value, max_entries: int) -> None:
+        """Store one entry in a strategy memo family, newest last.
+
+        Past ``max_entries`` the oldest entries go. Strategies store
+        through here rather than into :meth:`strategy_memo` directly so
+        that :attr:`memo_version` sees the change.
+        """
+        memo = self.strategy_memo(family)
+        memo[key] = value
+        memo.move_to_end(key)
+        while len(memo) > max_entries:
+            memo.popitem(last=False)
+        self.memo_version += 1
 
     def export_memos(self, max_entries: Optional[int] = None) -> list:
         """Every memo family as one flat picklable list.

@@ -24,6 +24,7 @@ from ..blocks.query_block import QueryBlock, ViewDef
 from ..catalog.schema import Catalog
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.trace import RewriteTrace, Tracer, span, tracing
+from .canonical import canonical_key
 from .cost import estimate_cost
 from .multiview import all_rewritings, single_view_rewritings
 from .result import Rewriting
@@ -99,8 +100,6 @@ def merge_strategy_extras(
     """The strategy union: C1–C4 candidates plus the extras another
     strategy found, deduplicated by canonical key (C1–C4's member wins a
     tie, so rankings and provenance of the base set never shift)."""
-    from .canonical import canonical_key
-
     seen = {canonical_key(rw.query) for rw in candidates}
     merged = list(candidates)
     for extra in extras:
@@ -328,7 +327,15 @@ class RewriteEngine:
                         )
                         for rw in candidates
                     ),
-                    key=lambda r: (r.cost, r.rewriting.mapping_desc),
+                    # The canonical key (cached since deduplication)
+                    # breaks the remaining ties, so the ranking does not
+                    # depend on discovery order, which differs between
+                    # warm and cold planners.
+                    key=lambda r: (
+                        r.cost,
+                        r.rewriting.mapping_desc,
+                        canonical_key(r.rewriting.query),
+                    ),
                 )
             if tracer is not None and stats_before is not None:
                 for name, value in planner.stats.as_dict().items():

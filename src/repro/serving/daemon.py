@@ -5,7 +5,7 @@ speaking the versioned ``repro-api/1`` envelope. One daemon serves one
 catalog; the request path is::
 
     line -> parse -> admission -> executor queue -> PlannerCache.run
-         -> publish memo export -> envelope line back
+         -> publish memo export (if the memo changed) -> envelope line back
 
 Admission happens synchronously on the event loop when a line arrives,
 so overload never buffers unboundedly: past the queue limit (or a
@@ -22,8 +22,8 @@ Execution backends:
 ``workers=N``
     a ``ProcessPoolExecutor``; workers attach the shared-memory memo
     tier read-only and warm-start planners from it. The master is the
-    tier's single writer: memo exports ride back with each response and
-    are published here.
+    tier's single writer: memo exports ride back with the responses
+    whose request changed a planner's memo and are published here.
 
 The ``update`` op mutates base tables through :mod:`repro.maintenance`.
 A registered delta listener — not the op handler — performs the cache
@@ -97,9 +97,12 @@ class RewriteDaemon:
         self.metrics = metrics
         self.metrics_interval = metrics_interval
         # Process workers need a real shared segment; serial mode is
-        # happy with whatever the platform offers.
-        self.memo = memo_tier or create_memo_tier(
-            capacity=memo_capacity, shared=True
+        # happy with whatever the platform offers. (An empty tier is
+        # falsy, hence the explicit None test.)
+        self.memo = (
+            memo_tier
+            if memo_tier is not None
+            else create_memo_tier(capacity=memo_capacity, shared=True)
         )
         self._planner_cache = PlannerCache(self.memo)
         if self.workers > 0:
@@ -378,7 +381,8 @@ class RewriteDaemon:
             response, key, view_names, export, _path = result
             if export:
                 # Single-writer discipline: only this (master) process
-                # publishes into the shared tier.
+                # publishes into the shared tier. An empty export means
+                # the request added no memo entry.
                 self.memo.publish(key, view_names, export)
             outcome = (
                 "error"

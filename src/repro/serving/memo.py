@@ -1,15 +1,18 @@
 """The cross-worker shared memo tier of the serving daemon.
 
-The planner's substitution memo is a pure function of the (views,
-catalog schemas, semantics) fingerprint, and exporting/importing it
-(:meth:`repro.core.planner.RewritePlanner.export_memo`) is how the batch
-service warm-starts workers. The serving daemon keeps those exports
-*persistent across requests* and *shared across process workers* in one
-``multiprocessing.shared_memory`` segment:
+The planner's memo is a pure function of the (views, catalog schemas,
+semantics) fingerprint, and exporting/importing it
+(:meth:`repro.core.planner.RewritePlanner.export_memos`) is how the
+batch service warm-starts workers. The serving daemon keeps those
+exports *persistent across requests* and *shared across process
+workers* in one ``multiprocessing.shared_memory`` segment:
 
 single writer
     only the daemon master publishes; workers never write. This removes
-    every write/write race by construction.
+    every write/write race by construction. Within the master a lock
+    serialises publish, invalidation, clear and lookup: the daemon
+    invalidates from the thread that applies an update while its event
+    loop publishes.
 
 seqlock framing
     the segment starts with a fixed header ``(magic, generation, epoch,
@@ -28,29 +31,47 @@ epoch stamping
     stops being found — the reader falls back to cold planning, never to
     a stale memo.
 
-The payload is one pickled dict ``{fingerprint: MemoEntry}``. The writer
-keeps the authoritative dict in process memory and rewrites the whole
-payload on publish; capacity overflow evicts oldest-published entries
-first. When ``multiprocessing.shared_memory`` is unavailable (or
-creation fails, e.g. no ``/dev/shm``), :class:`LocalMemoTier` provides
-the same interface over a process-local dict so serial serving and the
-test-suite keep working everywhere.
+per-entry records
+    the payload is a run of records, oldest published first. A record
+    is a ``(key_len, entry_len)`` prefix, the pickled fingerprint and the
+    pickled :class:`MemoEntry`. The writer encodes a record once, when
+    its entry is published, and keeps a running byte total of the
+    records it holds, so neither capacity checks nor framing re-encode
+    anything: framing copies the cached records into the segment. A
+    reader decodes fingerprints until one matches and unpickles only
+    that entry.
+
+Publishing is on change only: a worker's
+:class:`~repro.serving.worker.PlannerCache` exports a planner's memo
+only when it gained entries, so a publish costs one encoding of the
+changed fingerprint's entry, O(entry), whatever the tier holds.
+Capacity overflow evicts oldest-published entries first; an entry whose
+record alone exceeds the capacity is not stored. When
+``multiprocessing.shared_memory`` is unavailable (or creation fails,
+e.g. no ``/dev/shm``), :class:`LocalMemoTier` provides the same
+interface over a process-local dict so serial serving and the
+test-suite keep working everywhere. Both tiers encode and account
+through the same path; the local tier keeps only each record's size.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..obs.metrics import current_metrics
 
 #: Header: magic, generation (odd = publish in progress), epoch,
 #: payload byte length.
 _HEADER = struct.Struct("<QQQQ")
-_MAGIC = 0x5250_4D31  # "RPM1"
+_MAGIC = 0x5250_4D32  # "RPM2": per-entry records
+
+#: Record prefix: pickled key length, pickled entry length.
+_RECORD = struct.Struct("<II")
 
 #: Default segment capacity. Memo entries are small (a few KB each for
 #: the random workloads); 4 MiB holds thousands.
@@ -110,6 +131,30 @@ def _observe_size(entries: int, epoch: int) -> None:
         ).set(epoch)
 
 
+def encode_record(key: tuple, entry: MemoEntry) -> bytes:
+    """One fingerprint's record, as framed in the shared segment."""
+    key_bytes = pickle.dumps(key, pickle.HIGHEST_PROTOCOL)
+    entry_bytes = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+    return b"".join(
+        (_RECORD.pack(len(key_bytes), len(entry_bytes)), key_bytes,
+         entry_bytes)
+    )
+
+
+def _iter_records(payload: bytes) -> Iterator[tuple[tuple, memoryview]]:
+    """``(key, pickled entry)`` for every record of ``payload``; only the
+    keys are decoded."""
+    view = memoryview(payload)
+    offset = 0
+    while offset < len(view):
+        key_len, entry_len = _RECORD.unpack_from(view, offset)
+        offset += _RECORD.size
+        key = pickle.loads(view[offset:offset + key_len])
+        offset += key_len
+        yield key, view[offset:offset + entry_len]
+        offset += entry_len
+
+
 class LocalMemoTier:
     """The memo tier without shared memory: one process, same protocol.
 
@@ -126,7 +171,11 @@ class LocalMemoTier:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
         self._entries: OrderedDict[tuple, MemoEntry] = OrderedDict()
+        #: key -> byte length of its encoded record.
+        self._sizes: dict[tuple, int] = {}
+        self._bytes = 0
         self._epoch = 0
+        self._lock = threading.Lock()
 
     def epoch(self) -> int:
         return self._epoch
@@ -135,10 +184,17 @@ class LocalMemoTier:
         return len(self._entries)
 
     def keys(self):
-        return list(self._entries.keys())
+        with self._lock:
+            return list(self._entries.keys())
+
+    @property
+    def payload_bytes(self) -> int:
+        """The encoded size of every record held (the framed payload)."""
+        return self._bytes
 
     def lookup(self, key: tuple) -> Optional[MemoEntry]:
-        entry = self._entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
         _observe_lookup("hit" if entry is not None else "miss")
         return entry
 
@@ -150,11 +206,17 @@ class LocalMemoTier:
             view_names=tuple(view_names),
             memo=list(memo)[-MEMO_EXPORT_MAX:],
         )
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        self._enforce_capacity()
-        self._flush()
-        _observe_size(len(self._entries), self._epoch)
+        record = encode_record(key, entry)
+        with self._lock:
+            if len(record) > self.capacity:
+                # Could never frame: keep whatever the key had before.
+                _observe_eviction("capacity", 1)
+            else:
+                self._drop(key)
+                self._keep(key, entry, record)
+                self._enforce_capacity()
+                self._flush()
+            _observe_size(len(self._entries), self._epoch)
         return entry
 
     def invalidate_views(self, names: Iterable[str]) -> int:
@@ -166,23 +228,26 @@ class LocalMemoTier:
         an earlier invalidation they never observed).
         """
         targets = set(names)
-        victims = [
-            key
-            for key, entry in self._entries.items()
-            if targets.intersection(entry.view_names)
-        ]
-        for key in victims:
-            del self._entries[key]
-        self._epoch += 1
-        self._flush()
-        _observe_eviction("invalidation", len(victims))
-        _observe_size(len(self._entries), self._epoch)
+        with self._lock:
+            victims = [
+                key
+                for key, entry in self._entries.items()
+                if targets.intersection(entry.view_names)
+            ]
+            for key in victims:
+                self._drop(key)
+            self._epoch += 1
+            self._flush()
+            _observe_eviction("invalidation", len(victims))
+            _observe_size(len(self._entries), self._epoch)
         return len(victims)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._epoch += 1
-        self._flush()
+        with self._lock:
+            for key in list(self._entries):
+                self._drop(key)
+            self._epoch += 1
+            self._flush()
 
     def close(self) -> None:  # interface parity with SharedMemoTier
         pass
@@ -190,20 +255,23 @@ class LocalMemoTier:
     def unlink(self) -> None:
         pass
 
-    # ------------------------------------------------------------------
+    # Record bookkeeping (callers hold the lock) ------------------------
+
+    def _keep(self, key: tuple, entry: MemoEntry, record: bytes) -> None:
+        self._entries[key] = entry
+        self._sizes[key] = len(record)
+        self._bytes += len(record)
+
+    def _drop(self, key: tuple) -> None:
+        if self._entries.pop(key, None) is not None:
+            self._bytes -= self._sizes.pop(key)
 
     def _enforce_capacity(self) -> None:
         evicted = 0
-        while (
-            len(self._entries) > 1
-            and self._payload_size() > self.capacity
-        ):
-            self._entries.popitem(last=False)
+        while self._bytes > self.capacity:
+            self._drop(next(iter(self._entries)))
             evicted += 1
         _observe_eviction("capacity", evicted)
-
-    def _payload_size(self) -> int:
-        return len(pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL))
 
     def _flush(self) -> None:  # shared-memory subclass hook
         pass
@@ -214,8 +282,8 @@ class SharedMemoTier(LocalMemoTier):
 
     Construct with ``create=True`` in the daemon master (the single
     writer); workers attach read-only via :meth:`attach`. The writer
-    keeps the authoritative entry dict in process memory, so publishes
-    are a serialize-and-frame of known state, never a read-modify-write
+    keeps the authoritative entries and their encoded records in process
+    memory, so a publish frames known bytes, never a read-modify-write
     of the segment.
     """
 
@@ -227,6 +295,8 @@ class SharedMemoTier(LocalMemoTier):
         from multiprocessing import shared_memory
 
         super().__init__(capacity)
+        #: key -> encoded record, framed in ``_entries`` order.
+        self._records: dict[tuple, bytes] = {}
         self._shm = shared_memory.SharedMemory(
             name=name, create=True, size=_HEADER.size + capacity
         )
@@ -242,6 +312,7 @@ class SharedMemoTier(LocalMemoTier):
 
         tier = cls.__new__(cls)
         LocalMemoTier.__init__(tier)
+        tier._records = {}
         try:
             # track=False (3.13+) keeps the worker's resource tracker
             # from unlinking the master's segment at worker exit.
@@ -285,70 +356,76 @@ class SharedMemoTier(LocalMemoTier):
         magic, _gen, epoch, _length = self._read_header()
         return epoch if magic == _MAGIC else 0
 
-    def _read_entries(self) -> tuple[dict, int]:
-        """A consistent (entries, epoch) snapshot via the seqlock."""
+    def _read(self, decode):
+        """``decode`` applied to a consistent payload snapshot (seqlock)."""
         for _attempt in range(1000):
-            magic, gen1, epoch, length = self._read_header()
+            magic, gen1, _epoch, length = self._read_header()
             if magic != _MAGIC or gen1 % 2 == 1:
                 continue
             raw = bytes(
                 self._shm.buf[_HEADER.size:_HEADER.size + length]
             )
-            _magic, gen2, _epoch, _length = self._read_header()
-            if gen1 == gen2:
-                try:
-                    return pickle.loads(raw) if length else {}, epoch
-                except Exception:
-                    continue  # torn write slipped through; retry
-        return {}, self.epoch()  # writer wedged mid-publish: act cold
+            if self._read_header()[1] != gen1:
+                continue
+            try:
+                return decode(raw)
+            except Exception:
+                continue  # torn write slipped through; retry
+        return decode(b"")  # writer wedged mid-publish: act cold
 
     def lookup(self, key: tuple) -> Optional[MemoEntry]:
         if self._writer:
             return super().lookup(key)
-        entries, _epoch = self._read_entries()
-        entry = entries.get(key)
+
+        def find(raw: bytes) -> Optional[MemoEntry]:
+            for found, entry in _iter_records(raw):
+                if found == key:
+                    return pickle.loads(entry)
+            return None
+
+        entry = self._read(find)
         _observe_lookup("hit" if entry is not None else "miss")
         return entry
 
     def __len__(self) -> int:
         if self._writer:
             return len(self._entries)
-        entries, _epoch = self._read_entries()
-        return len(entries)
+        return len(self.keys())
 
     def keys(self):
         if self._writer:
-            return list(self._entries.keys())
-        entries, _epoch = self._read_entries()
-        return list(entries.keys())
+            return super().keys()
+        return self._read(lambda raw: [key for key, _ in _iter_records(raw)])
 
     # Writer protocol ---------------------------------------------------
+
+    def _keep(self, key: tuple, entry: MemoEntry, record: bytes) -> None:
+        super()._keep(key, entry, record)
+        self._records[key] = record
+
+    def _drop(self, key: tuple) -> None:
+        super()._drop(key)
+        self._records.pop(key, None)
 
     def _flush(self) -> None:
         if not getattr(self, "_writer", False):
             raise RuntimeError("read-only attachment cannot publish")
-        payload = pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL)
-        while len(payload) > self.capacity and len(self._entries) > 0:
-            # Oversized even after _enforce_capacity (single huge entry):
-            # drop oldest until it frames, an empty tier being valid.
-            self._entries.popitem(last=False)
-            _observe_eviction("capacity", 1)
-            payload = pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL)
+        buf = self._shm.buf
         # Seqlock: odd generation while the payload is inconsistent.
         self._generation += 1
         _HEADER.pack_into(
-            self._shm.buf, 0,
-            _MAGIC, self._generation, self._epoch, 0,
+            buf, 0, _MAGIC, self._generation, self._epoch, 0
         )
-        self._shm.buf[_HEADER.size:_HEADER.size + len(payload)] = payload
+        offset = _HEADER.size
+        for key in self._entries:
+            record = self._records[key]
+            buf[offset:offset + len(record)] = record
+            offset += len(record)
         self._generation += 1
         _HEADER.pack_into(
-            self._shm.buf, 0,
-            _MAGIC, self._generation, self._epoch, len(payload),
+            buf, 0,
+            _MAGIC, self._generation, self._epoch, offset - _HEADER.size,
         )
-
-    def _payload_size(self) -> int:
-        return len(pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL))
 
     # Lifecycle ---------------------------------------------------------
 

@@ -16,9 +16,12 @@ reader side of the epoch protocol:
    :func:`repro.service.executor.execute_request` by default, so the
    batch service's determinism rules — count-budgeted requests always
    plan cold — hold verbatim in the daemon);
-5. hand the planner's memo export back to the caller. Workers never
-   write the tier: the daemon master is the single writer and publishes
-   exports after each response.
+5. hand the planner's memo export back to the caller, but only when
+   the planner's memo changed since this cache last exported or
+   imported it (:attr:`RewritePlanner.memo_version`); a warm planner
+   that answered from its memo ships nothing. Workers never write the
+   tier: the daemon master is the single writer and publishes the
+   exports it receives.
 
 Requests that pin an explicit view subset run against a restricted
 catalog clone so the engine's shared-planner fast path (and therefore
@@ -65,6 +68,18 @@ def _restricted_catalog(catalog: Catalog, views) -> Catalog:
     return clone
 
 
+class _Slot:
+    """One cached planner: the epoch it was validated against and the
+    memo version its last export or import carried."""
+
+    __slots__ = ("epoch", "planner", "shipped")
+
+    def __init__(self, epoch: int, planner: RewritePlanner):
+        self.epoch = epoch
+        self.planner = planner
+        self.shipped = planner.memo_version
+
+
 class PlannerCache:
     """Per-process planners, validated against the memo tier's epoch."""
 
@@ -73,10 +88,8 @@ class PlannerCache:
 
     def __init__(self, tier):
         self.tier = tier
-        #: fingerprint -> (validated_epoch, planner)
-        self._planners: OrderedDict[tuple, tuple[int, RewritePlanner]] = (
-            OrderedDict()
-        )
+        #: fingerprint -> slot
+        self._planners: OrderedDict[tuple, _Slot] = OrderedDict()
 
     def run(
         self,
@@ -86,9 +99,10 @@ class PlannerCache:
         """Execute one request; returns
         ``(response, fingerprint, view_names, memo_export, path)``.
 
-        ``memo_export`` is the planner's post-request substitution memo
-        for the daemon master to publish (single-writer discipline);
-        ``path`` reports how the planner was obtained.
+        ``memo_export`` is the planner's post-request memo for the
+        daemon master to publish (single-writer discipline), or an empty
+        list when the request added no memo entry; ``path`` reports how
+        the planner was obtained.
         """
         key = serving_group_key(request)
         views = request.effective_views()
@@ -104,7 +118,8 @@ class PlannerCache:
             else:
                 request = replace(request, views=None)
 
-        planner, path = self._planner_for(key, views, request)
+        slot, path = self._slot_for(key, views, request)
+        planner = slot.planner
         engine = (
             build_engine(
                 request.catalog, request.use_set_semantics, planner
@@ -114,18 +129,21 @@ class PlannerCache:
         )
         runner = resolve_strategy(strategy)
         response = runner(request, engine=engine, planner=planner)
-        export = planner.export_memos(MEMO_EXPORT_MAX)
+        export = []
+        if planner.memo_version != slot.shipped:
+            export = planner.export_memos(MEMO_EXPORT_MAX)
+            slot.shipped = planner.memo_version
         _observe_path(path)
         return response, key, view_names, export, path
 
-    def _planner_for(
+    def _slot_for(
         self, key: tuple, views, request: RewriteRequest
-    ) -> tuple[RewritePlanner, str]:
+    ) -> tuple[_Slot, str]:
         epoch = self.tier.epoch()
         cached = self._planners.get(key)
-        if cached is not None and cached[0] == epoch:
+        if cached is not None and cached.epoch == epoch:
             self._planners.move_to_end(key)
-            return cached[1], WARM_LOCAL
+            return cached, WARM_LOCAL
         # Epoch moved (or first sight): revalidate against the tier.
         self._planners.pop(key, None)
         planner = RewritePlanner(
@@ -137,10 +155,10 @@ class PlannerCache:
             path = WARM_SHARED
         else:
             path = COLD
-        self._planners[key] = (epoch, planner)
+        slot = self._planners[key] = _Slot(epoch, planner)
         while len(self._planners) > self.MAX_PLANNERS:
             self._planners.popitem(last=False)
-        return planner, path
+        return slot, path
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +187,7 @@ def run_in_worker(payload: tuple):
 
     ``payload`` is ``(request, strategy)``. The response, fingerprint,
     view names, memo export and planner path travel back pickled; the
-    master publishes the export into the shared tier.
+    master publishes a non-empty export into the shared tier.
     """
     request, strategy = payload
     assert _WORKER_CACHE is not None, "init_worker did not run"

@@ -117,9 +117,7 @@ def cohen_nutt_rewritings(
         # Budget-tripped enumerations are partial; caching one would
         # poison later unbudgeted searches (same rule as the planner's
         # substitution memo).
-        memo[query] = tuple(out)
-        while len(memo) > MEMO_MAX:
-            memo.popitem(last=False)
+        planner.remember(MEMO_FAMILY, query, tuple(out), MEMO_MAX)
     return out
 
 

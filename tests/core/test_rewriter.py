@@ -77,6 +77,32 @@ class TestRewriteEngine:
         out = db.execute(rewriting.query, extra_views=rewriting.extra_views())
         assert sorted(out.rows) == [(0, 30), (1, 5)]
 
+    def test_ranking_ignores_discovery_order(self, monkeypatch):
+        # Star's monthly_volume has two rewritings equal in cost and in
+        # mapping description; a warm planner can find them in the other
+        # order than a cold one, and the ranking must not notice.
+        from repro.core import rewriter
+        from repro.workloads import star
+
+        workload = star.generate(n_sales=50)
+        query = workload.queries["monthly_volume"]
+
+        def ranked():
+            return RewriteEngine(workload.catalog).rewrite(query).ranked
+
+        found = ranked()
+        ties = {(r.cost, r.rewriting.mapping_desc) for r in found}
+        assert len(ties) < len(found)  # the scenario really has a tie
+        order = [r.rewriting.sql() for r in found]
+
+        search = rewriter.all_rewritings
+        monkeypatch.setattr(
+            rewriter,
+            "all_rewritings",
+            lambda *args, **kwargs: search(*args, **kwargs)[::-1],
+        )
+        assert [r.rewriting.sql() for r in ranked()] == order
+
 
 class TestCostModel:
     def test_rows_scale_with_tables(self, engine):
