@@ -1,7 +1,7 @@
 """Experiment E15 — ablations of the design choices DESIGN.md calls out.
 
-A. **Hash-join planner vs naive product** (engine substrate): same core
-   table, orders of magnitude apart once inputs stop being tiny.
+A. **Columnar hash join vs naive product** (engine substrate): same
+   core table, orders of magnitude apart once inputs stop being tiny.
 B. **HAVING→WHERE normalization (Section 3.3)**: usability detection on
    queries whose selective conditions live in HAVING — without the
    pre-processing, the views look "too selective" and every pair is
@@ -20,27 +20,20 @@ from repro.bench import ResultTable, time_best
 from repro.core.aggregate import try_rewrite_aggregation
 from repro.core.conjunctive import try_rewrite_conjunctive
 from repro.core.paper_va import try_rewrite_paper_va
+from repro.engine.columnar import build_core_batch
 from repro.engine.database import Database
-from repro.engine.evaluator import _build_core, _compile_predicate
-from repro.engine.planner import build_core
+from repro.engine.evaluator import _build_core
 from repro.mappings.enumerate_mappings import enumerate_mappings
-
-
-def naive_core(block, resolve):
-    rows, index = _build_core(block, resolve)
-    for atom in block.where:
-        predicate = _compile_predicate(atom, index)
-        rows = [row for row in rows if predicate(row)]
-    return rows
 
 
 def test_ablation_planner(benchmark):
     catalog = Catalog([table("R", ["A", "B"]), table("S", ["C", "D"])])
     block = parse_query("SELECT A, D FROM R, S WHERE B = C", catalog)
+    columns = [col for rel in block.from_ for col in rel.columns]
     rng = random.Random(3)
     table_out = ResultTable(
-        "E15a: hash-join planner vs naive product (seconds)",
-        ["rows_per_side", "planner", "naive", "speedup"],
+        "E15a: columnar hash join vs naive product (seconds)",
+        ["rows_per_side", "columnar", "naive", "speedup"],
     )
     for n in (100, 400, 1600):
         db = Database(
@@ -54,8 +47,12 @@ def test_ablation_planner(benchmark):
         def resolve(name):
             return db.table(name)
 
-        t_fast = time_best(lambda: build_core(block, resolve), repeats=2)
-        t_slow = time_best(lambda: naive_core(block, resolve), repeats=2)
+        # Both sides build the core rows as tuples, as the naive one does.
+        t_fast = time_best(
+            lambda: build_core_batch(block, resolve).rows(columns),
+            repeats=2,
+        )
+        t_slow = time_best(lambda: _build_core(block, resolve), repeats=2)
         table_out.add(n, t_fast, t_slow, round(t_slow / t_fast, 1))
     table_out.show()
 
@@ -66,7 +63,7 @@ def test_ablation_planner(benchmark):
             "S": [(rng.randrange(50), rng.randrange(50)) for _ in range(400)],
         },
     )
-    benchmark(lambda: build_core(block, lambda n: db.table(n)))
+    benchmark(lambda: build_core_batch(block, lambda n: db.table(n)))
 
 
 def test_ablation_having_motion(benchmark):

@@ -166,14 +166,17 @@ def main(argv: list[str] | None = None) -> int:
             f"live invalidation without restart"
         )
     columnar = report.workloads.get("columnar", {})
-    if "min_speedup_at_floor" in columnar:
+    if "gated_ratios" in columnar:
+        ratios = ", ".join(
+            f"{name} {ratio:.2f}x"
+            for name, ratio in sorted(columnar["gated_ratios"].items())
+        )
         print(
-            f"columnar speedup at {columnar['floor_rows']} rows: "
-            f"{columnar['min_speedup_at_floor']:.1f}x – "
-            f"{columnar['max_speedup_at_floor']:.1f}x vs row engine "
-            f"(floor {columnar['speedup_floor']:.0f}x; parity sweep "
-            f"{columnar['parity_sweep']['scenarios']} scenarios, "
-            f"{columnar['parity_sweep']['checks']} checks, 0 mismatches)"
+            f"columnar vs SQLite at {columnar['gate_rows']} rows: {ratios} "
+            f"of SQLite's time (ceilings {columnar['sqlite_ratio_ceiling']}; "
+            f"parity sweep {columnar['parity_sweep']['scenarios']} "
+            f"scenarios, {columnar['parity_sweep']['checks']} checks, "
+            f"0 mismatches)"
         )
     metrics = report.workloads.get("metrics", {})
     if "overhead" in metrics:

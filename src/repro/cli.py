@@ -937,7 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["row", "columnar", "auto"],
         default="auto",
-        help="execution engine (default: auto — columnar for large inputs)",
+        help="execution engine (default: auto — the naive row "
+        "interpreter for tiny inputs, columnar otherwise)",
     )
     p.set_defaults(func=cmd_query)
 

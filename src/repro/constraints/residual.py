@@ -16,12 +16,17 @@ complete (Theorem 3.1), and it is sound in general.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from ..blocks.exprs import columns_in
 from ..blocks.terms import Column, Comparison, Constant
 from .closure import Closure, closure_cache_enabled, closure_of
 from .implication import minimize
+
+
+#: Sort key of the allowed vocabulary (C-level, unlike ``Column.__lt__``).
+_column_name = attrgetter("name")
 
 
 def atoms_constants(atoms: Iterable[Comparison]) -> list[Constant]:
@@ -79,7 +84,10 @@ def find_residual(
     ``mapped_view_conds`` is ``φ(Conds(V))`` — the view's conditions with
     its columns renamed into query columns by the candidate mapping.
     """
-    allowed_terms: list = list(dict.fromkeys(allowed_columns))
+    # Sorted, not in the caller's order: callers pass frozensets, whose
+    # iteration order follows string hashing and so PYTHONHASHSEED, and
+    # the residual's atoms and operand order follow this vocabulary.
+    allowed_terms: list = sorted(set(allowed_columns), key=_column_name)
     allowed_terms += atoms_constants(conds_q)
     allowed_terms += atoms_constants(mapped_view_conds)
 

@@ -1,12 +1,12 @@
 """Vectorized columnar execution engine.
 
-The performance-oriented counterpart of the row-at-a-time evaluator:
+The performance-oriented counterpart of the naive row evaluator:
 dict-of-columns batches with zero-copy selection vectors, predicates and
 projections compiled once per query block into column-level kernels, and
 single-pass grouped aggregation. Selected through the ``engine=`` mode
 switch on :func:`repro.engine.evaluate_block` /
-:meth:`repro.engine.Database.execute`; the row engine remains the parity
-oracle (see ``docs/engine.md``).
+:meth:`repro.engine.Database.execute`; the row engine is the reference
+it is checked against (see ``docs/engine.md``).
 """
 
 from .batch import Batch

@@ -1,11 +1,10 @@
 """The vectorized scan → filter → hash-join → group/aggregate pipeline.
 
-Drop-in counterpart of the row engine's ``build_core`` + grouped
-evaluation: :func:`evaluate_block_columnar` computes exactly the same
-multiset of answer rows as :func:`repro.engine.evaluator.evaluate_block`
-with ``engine="row"`` (the row engine is retained as the parity oracle —
-see ``docs/engine.md``), but it never materializes per-row tuples until
-the final output:
+:func:`evaluate_block_columnar` computes exactly the same multiset of
+answer rows as :func:`repro.engine.evaluator.evaluate_block` with
+``engine="row"`` (the naive row interpreter is the reference semantics
+— see ``docs/engine.md``), but it never materializes per-row tuples
+until the final output:
 
 * scans bind each FROM occurrence's base columns into a
   :class:`~repro.engine.columnar.batch.Batch` (no copying);
@@ -19,10 +18,8 @@ the final output:
 * SELECT / HAVING group expressions are compiled once per block and
   evaluated once per group.
 
-Pushdown, join order and deferred-predicate scheduling reuse the row
-planner's :func:`~repro.engine.planner.classify_predicates` and
-:func:`~repro.engine.planner.greedy_join_order`, so both engines make
-identical plan decisions and differ only in execution strategy.
+Pushdown, join order and deferred-predicate scheduling come from
+:mod:`repro.engine.columnar.plan`.
 """
 
 from __future__ import annotations
@@ -35,10 +32,10 @@ from ...blocks.terms import Column, Comparison, Constant
 from ...errors import EvaluationError
 from ...obs.metrics import current_metrics
 from ..aggregates import accumulate_by_group, apply_aggregate
-from ..planner import classify_predicates, greedy_join_order
 from ..table import Table
 from .batch import Batch
 from .kernels import compile_filter_kernel, compile_value_kernel
+from .plan import classify_predicates, greedy_join_order
 
 RelationResolver = Callable[[str], Table]
 

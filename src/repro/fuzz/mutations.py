@@ -2,9 +2,11 @@
 
 The CI fuzz job injects one of these and *requires* the fuzzer to catch
 and shrink it — proving the oracle actually detects evaluator/rewriter
-drift rather than vacuously passing. Each injection patches the
-evaluator's aggregate dispatch (or comparison) in place and restores it
-on exit.
+drift rather than vacuously passing. Each injection patches both
+aggregate dispatch tables in place — the scalar one (row engine and
+columnar scalar aggregates) and the per-group one (columnar GROUP BY) —
+so the bug is live whichever executor ``engine=`` picks, and restores
+them on exit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ def _min_as_max(values):
     return _ORIGINALS[AggFunc.MAX](values)
 
 
+def _per_group(scalar):
+    """The per-group kernel of a scalar aggregate (same bug, same answers)."""
+
+    def kernel(gids, values, ngroups):
+        groups: list = [[] for _ in range(ngroups)]
+        for g, v in zip(gids, values):
+            groups[g].append(v)
+        return [scalar(group) for group in groups]
+
+    return kernel
+
+
 _ORIGINALS = dict(_aggregates._DISPATCH)
 
 _BUGS = {
@@ -64,9 +78,21 @@ def inject_bug(name: str) -> Iterator[None]:
         raise ValueError(
             f"unknown bug {name!r}; known: {', '.join(BUG_NAMES)}"
         ) from None
-    saved = {func: _aggregates._DISPATCH[func] for func in patch}
-    _aggregates._DISPATCH.update(patch)
+    tables = (
+        (_aggregates._DISPATCH, patch),
+        (
+            _aggregates._GROUP_DISPATCH,
+            {func: _per_group(fn) for func, fn in patch.items()},
+        ),
+    )
+    saved = [
+        (table, {func: table[func] for func in funcs})
+        for table, funcs in tables
+    ]
+    for table, funcs in tables:
+        table.update(funcs)
     try:
         yield
     finally:
-        _aggregates._DISPATCH.update(saved)
+        for table, originals in saved:
+            table.update(originals)

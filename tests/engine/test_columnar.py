@@ -1,6 +1,6 @@
 """The columnar engine: batches, kernels, and row-engine parity.
 
-The row engine is the parity oracle for the vectorized executor (see
+The naive row engine is the reference for the vectorized executor (see
 ``docs/engine.md``): every query must produce the same *multiset* of
 rows under ``engine="row"`` and ``engine="columnar"``. These tests pin
 that contract at three levels — Batch/kernel units, hand-picked
@@ -16,7 +16,7 @@ from repro.blocks.exprs import Arith, ArithOp
 from repro.blocks.normalize import parse_query
 from repro.blocks.terms import Column, Comparison, Constant, Op
 from repro.catalog.schema import Catalog, table
-from repro.engine import COLUMNAR_AUTO_THRESHOLD, Database, Table
+from repro.engine import AUTO_ROW_MAX_PRODUCT, Database, Table
 from repro.engine.columnar import (
     Batch,
     compile_filter_kernel,
@@ -315,9 +315,13 @@ class TestEngineSwitch:
         db = Database(catalog, {"R": [(1, 2)]}, engine="columnar")
         assert db.execute("SELECT A FROM R").rows == [(1,)]
 
-    def test_auto_uses_columnar_above_threshold(self, catalog, monkeypatch):
-        # The evaluator imports the columnar entry point lazily from the
-        # package namespace, so patch it there.
+    @pytest.fixture
+    def columnar_calls(self, monkeypatch):
+        """Blocks the auto switch hands to the columnar executor.
+
+        The evaluator imports the columnar entry point lazily from the
+        package namespace, so the spy is patched there.
+        """
         calls = []
         import repro.engine.columnar as columnar
 
@@ -328,16 +332,56 @@ class TestEngineSwitch:
             return real(block, resolve)
 
         monkeypatch.setattr(columnar, "evaluate_block_columnar", spy)
+        return calls
 
+    def test_auto_uses_columnar_above_threshold(self, catalog, columnar_calls):
         small = Database(catalog, {"R": [(1, 2)]})
         small.execute("SELECT A FROM R", engine="auto")
-        assert not calls
+        assert not columnar_calls
 
-        big_rows = [(i, i) for i in range(COLUMNAR_AUTO_THRESHOLD)]
+        big_rows = [(i, i) for i in range(AUTO_ROW_MAX_PRODUCT + 1)]
         big = Database(catalog, {"R": big_rows})
         result = big.execute("SELECT A FROM R WHERE A < 3", engine="auto")
-        assert calls
+        assert columnar_calls
         assert sorted(result.rows) == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize(
+        "r_rows, s_rows, chosen",
+        [
+            # The bound is on the product of the FROM inputs' sizes.
+            (AUTO_ROW_MAX_PRODUCT // 4, 4, "row"),
+            (AUTO_ROW_MAX_PRODUCT // 4, 5, "columnar"),
+            (AUTO_ROW_MAX_PRODUCT, 1, "row"),
+            (AUTO_ROW_MAX_PRODUCT + 1, 1, "columnar"),
+            # An empty input makes the product 0, however large the other.
+            (10 * AUTO_ROW_MAX_PRODUCT, 0, "row"),
+        ],
+    )
+    def test_auto_bound_on_input_product(
+        self, catalog, columnar_calls, r_rows, s_rows, chosen
+    ):
+        from repro.obs.metrics import MetricsRegistry, collecting
+
+        db = Database(
+            catalog,
+            {
+                "R": [(i, i % 7) for i in range(r_rows)],
+                "S": [(i % 7, i) for i in range(s_rows)],
+            },
+        )
+        sql = "SELECT A, D FROM R, S WHERE B = C"
+        registry = MetricsRegistry()
+        with collecting(registry):
+            rows = db.execute(sql, engine="auto").rows
+        assert bool(columnar_calls) == (chosen == "columnar")
+        snapshot = registry.snapshot()
+        assert snapshot.counter_value(
+            "repro_engine_auto_switch_total", chosen=chosen
+        ) == 1
+        assert snapshot.counter_value(
+            "repro_engine_blocks_total", engine=chosen, requested="auto"
+        ) == 1
+        assert rows_multiset_equal(rows, db.execute(sql, engine="row").rows)
 
 
 # ----------------------------------------------------------------------

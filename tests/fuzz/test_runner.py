@@ -35,19 +35,16 @@ def test_clean_run_is_clean(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("bug", BUG_NAMES)
-def test_injected_bug_caught_and_shrunk(tmp_path, bug):
-    """Mutation test: every known-bad evaluator variant is detected and
-    the repro is minimized below the acceptance thresholds."""
-    out = tmp_path / bug
+def _assert_caught_and_shrunk(out, bug, engine):
     with inject_bug(bug):
-        stats = FuzzRunner(out_dir=out).run(
+        stats = FuzzRunner(out_dir=out, engine=engine).run(
             budget_seconds=None, max_scenarios=400, max_failures=1
         )
         assert stats.failures >= 1, f"{bug}: fuzzer missed the injected bug"
         assert stats.shrink_iterations > 0
 
         doc = json.loads(stats.failure_files[0].read_text())
+        assert doc["engine"] == engine
         assert _total_rows(doc) <= 3, doc
         assert len(doc["views"]) <= 2, doc
         assert doc["mismatches"], doc
@@ -62,11 +59,34 @@ def test_injected_bug_caught_and_shrunk(tmp_path, bug):
     assert report.ok, report.describe()
 
 
+@pytest.mark.parametrize("bug", BUG_NAMES)
+def test_injected_bug_caught_and_shrunk(tmp_path, bug):
+    """Mutation test: every known-bad evaluator variant is detected and
+    the repro is minimized below the acceptance thresholds."""
+    _assert_caught_and_shrunk(tmp_path / bug, bug, "auto")
+
+
+@pytest.mark.parametrize("bug", BUG_NAMES)
+def test_injected_bug_caught_and_shrunk_on_columnar(tmp_path, bug):
+    """The same mutations, with every block forced onto the columnar
+    executor, whose GROUP BY path folds through the per-group kernels."""
+    _assert_caught_and_shrunk(tmp_path / bug, bug, "columnar")
+
+
 def test_inject_bug_restores_dispatch():
     original = dict(aggregates._DISPATCH)
+    original_group = dict(aggregates._GROUP_DISPATCH)
     with inject_bug("min-as-max"):
         assert aggregates._DISPATCH[AggFunc.MIN] is not original[AggFunc.MIN]
+        assert (
+            aggregates._GROUP_DISPATCH[AggFunc.MIN]
+            is not original_group[AggFunc.MIN]
+        )
+        assert aggregates.accumulate_by_group(
+            AggFunc.MIN, [0, 0, 1], [1, 5, None], 2
+        ) == [5, None]
     assert aggregates._DISPATCH == original
+    assert aggregates._GROUP_DISPATCH == original_group
 
 
 def test_inject_unknown_bug_rejected():
