@@ -1,10 +1,12 @@
 """Single-block evaluation under SQL multiset semantics."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from repro.blocks.normalize import parse_query
+from repro.blocks.terms import Column, Comparison, Constant, Op
 from repro.catalog.schema import Catalog, table
 from repro.engine.database import Database
 from repro.errors import EvaluationError, SchemaError
@@ -167,3 +169,13 @@ class TestErrors:
         d = db(catalog, [(1, "x")])
         with pytest.raises(EvaluationError):
             d.execute("SELECT A FROM R WHERE B > 3")
+
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    def test_where_column_outside_from_raises(self, catalog, engine):
+        block = parse_query("SELECT A FROM R", catalog)
+        block = replace(
+            block, where=(Comparison(Column("Z"), Op.EQ, Constant(1)),)
+        )
+        d = db(catalog, [(1, 10)])
+        with pytest.raises(EvaluationError, match="unbound column"):
+            d.execute(block, engine=engine)
